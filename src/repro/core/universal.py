@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from repro.core.asymm_rv import asymm_rv
 from repro.core.combinators import run_segment
 from repro.core.labels import encode_graph_view
-from repro.core.pairing import triple, untriple
+from repro.core.pairing import triple
 from repro.core.profile import TUNED, Profile
+from repro.core.segments import compiled_rendezvous, phase_segments
 from repro.core.symm_rv import symm_rv
 from repro.core.uxs import is_uxs_for_graph
 from repro.graphs.port_graph import PortLabeledGraph
@@ -101,25 +102,16 @@ def universal_rv(
         raise ValueError("profile uses oracle view mode but no oracle was given")
     phase = 1
     while True:
-        # g is a bijection on positive integers; delays are non-negative,
-        # so the third component encodes delta + 1.
-        n, d, delta_code = untriple(phase)
-        delta = delta_code - 1
-        if d < n:
-            raw = oracle.raw_label(n) if profile.view_mode == "oracle" else None
-            asymm_budget = profile.asymm_bound(n) + delta
-            percept = yield from run_segment(
-                percept,
-                asymm_rv(percept, profile.asymm_params(n), raw),
-                asymm_budget,
-            )
-            if delta >= d:
-                symm_budget = profile.symm_bound(n, d, delta)
-                percept = yield from run_segment(
-                    percept,
-                    symm_rv(percept, n, d, delta, uxs=profile.uxs(n)),
-                    symm_budget,
+        for segment in phase_segments(profile, phase):
+            n = segment.n
+            if segment.symmetric:
+                script = symm_rv(
+                    percept, n, segment.d, segment.delta, uxs=profile.uxs(n)
                 )
+            else:
+                raw = oracle.raw_label(n) if profile.view_mode == "oracle" else None
+                script = asymm_rv(percept, profile.asymm_params(n), raw)
+            percept = yield from run_segment(percept, script, segment.budget)
         phase += 1
 
 
@@ -142,14 +134,7 @@ def make_universal_algorithm(
 
 def phase_duration(profile: Profile, phase: int) -> int:
     """Exact duration in rounds of phase ``phase`` (0 when skipped)."""
-    n, d, delta_code = untriple(phase)
-    delta = delta_code - 1
-    if d >= n:
-        return 0
-    total = 2 * (profile.asymm_bound(n) + delta)
-    if delta >= d:
-        total += 2 * profile.symm_bound(n, d, delta)
-    return total
+    return sum(2 * segment.budget for segment in phase_segments(profile, phase))
 
 
 def universal_round_budget(profile: Profile, n: int, d: int, delta: int) -> int:
@@ -344,6 +329,11 @@ def rendezvous(
     budget from the feasibility characterization when ``max_rounds`` is
     not given (infeasible STICs get a generous fixed horizon so the
     caller can observe the non-meeting), and simulates both agents.
+
+    Oracle-mode profiles are simulated segment by segment through
+    :func:`repro.core.segments.compiled_rendezvous`; traced runs and
+    faithful profiles run the scalar scheduler.  Both return equal
+    results.
     """
     certify_instance(graph, u, v, profile)
     verdict = classify_stic(graph, u, v, delta)
@@ -355,13 +345,17 @@ def rendezvous(
             # wrong-phase budget, so the non-meeting is unambiguous.
             max_rounds = delta + universal_round_budget(profile, graph.n, 1, delta)
 
-    algorithm = make_universal_algorithm(profile)
     oracles = None
     if profile.view_mode == "oracle":
         oracles = (
             UniversalOracle(graph, u, profile),
             UniversalOracle(graph, v, profile),
         )
+        if not record_traces:
+            return compiled_rendezvous(
+                graph, u, v, delta, profile, max_rounds=max_rounds, oracles=oracles
+            )
+    algorithm = make_universal_algorithm(profile)
     return run_rendezvous(
         graph,
         u,

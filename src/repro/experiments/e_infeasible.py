@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from repro.core.profile import TUNED
 from repro.core.universal import rendezvous
+from repro.exec.uxs import generate_offset_stream
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.scenarios import RunConfig, ScenarioSpec, build_graph
 from repro.symmetry.shrink import shrink
-from repro.util.lcg import SplitMix64, derive_seed
+from repro.util.lcg import derive_seed
 
 __all__ = ["run", "SCENARIO", "make_shards", "run_shard", "merge"]
 
@@ -102,20 +103,23 @@ def _oblivious_battery(graph, u, v, delta, rounds, seeds) -> bool:
     """Run random deterministic port-words from the STIC; True if any met.
 
     Each word is one fixed deterministic algorithm (both agents play
-    it identically); Lemma 3.1 says none can meet.
+    it identically); Lemma 3.1 says none can meet.  Words are the
+    ``SplitMix64(derive_seed("infeasible-battery", seed)).randrange(64)``
+    streams, generated in bulk.
     """
-    succ = graph.succ_node_array
-    degrees = graph.degrees
+    succ = graph.succ_node_array.tolist()
+    degrees = graph.degrees.tolist()
     for seed in seeds:
-        rng = SplitMix64(derive_seed("infeasible-battery", seed))
-        word = [rng.randrange(64) for _ in range(rounds)]
+        word = generate_offset_stream(
+            derive_seed("infeasible-battery", seed), 64, rounds
+        ).tolist()
         pos_a, pos_b = u, v
         for t in range(rounds):
             if t >= delta and pos_a == pos_b:
                 return True
-            pos_a = int(succ[pos_a, word[t] % int(degrees[pos_a])])
+            pos_a = succ[pos_a][word[t] % degrees[pos_a]]
             if t >= delta:
-                pos_b = int(succ[pos_b, word[t - delta] % int(degrees[pos_b])])
+                pos_b = succ[pos_b][word[t - delta] % degrees[pos_b]]
     return False
 
 

@@ -77,11 +77,20 @@ def test_time_measured_from_later_agent():
 
 def test_crossings_recorded_on_infeasible_runs():
     # On the two-node graph with delta 0 the agents repeatedly swap:
-    # the trace must show crossings but no meeting.
+    # the trace must show crossings but no meeting, exactly the
+    # crossing rounds the scalar scheduler records.
+    from repro.core.universal import UniversalOracle, make_universal_algorithm
+    from repro.sim import run_rendezvous
+
     g = two_node_graph()
     result = rendezvous(g, 0, 1, 0, max_rounds=5_000)
+    scalar = run_rendezvous(
+        g, 0, 1, 0, make_universal_algorithm(TUNED), max_rounds=5_000,
+        oracles=(UniversalOracle(g, 0, TUNED), UniversalOracle(g, 1, TUNED)),
+    )
     assert not result.met
     assert len(result.crossings) > 0
+    assert result.crossings == scalar.crossings
 
 
 def test_profile_consistency_small():
