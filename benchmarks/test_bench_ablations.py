@@ -1,6 +1,6 @@
 """Ablations over the reproduction's tunable design choices.
 
-DESIGN.md §2 substitutes certified-tuned constants for the paper's
+README.md, "Substitutions", substitutes certified-tuned constants for the paper's
 (astronomically large) reference constants.  These benchmarks quantify
 each knob so the trade is visible in numbers:
 

@@ -14,27 +14,15 @@ Consolidated numbers land in ``BENCH_campaigns.json`` (cwd) —
 pytest-benchmark timings.
 """
 
-import json
 import time
-from pathlib import Path
+
+from conftest import record_bench
 
 from repro.campaigns.registry import CAMPAIGNS
 from repro.experiments.orchestrator import run_experiment
 from repro.experiments.store import ResultStore
 
-_EXPORT = Path("BENCH_campaigns.json")
-
-
-def record_numbers(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_EXPORT = "BENCH_campaigns.json"
 
 
 def test_campaign_throughput_and_warm_cache(tmp_path):
@@ -64,7 +52,8 @@ def test_campaign_throughput_and_warm_cache(tmp_path):
     comparisons = sum(
         outcome.result["comparisons"] for outcome in cold.shards
     )
-    record_numbers(
+    record_bench(
+        _EXPORT,
         "core_smoke",
         {
             "cells": cells,

@@ -16,12 +16,10 @@ unified_s, ratio}}`` — uploaded by the CI benchmarks job; the bar is
 ``ratio >= 1.0`` on both grids.
 """
 
-import json
 import time
-from pathlib import Path
 
 import _legacy_engines as legacy
-from conftest import emit
+from conftest import emit, record_bench
 
 from repro.core import (
     TUNED,
@@ -42,20 +40,8 @@ from repro.sim.schedule_adversary import (
 )
 from repro.symmetry import classify_stic, symmetric_pairs
 
-_EXPORT = Path("BENCH_exec_core.json")
+_EXPORT = "BENCH_exec_core.json"
 _REPEATS = 7
-
-
-def record_numbers(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _best_of(fn, repeats=_REPEATS):
@@ -143,7 +129,8 @@ def test_exec_core_vs_legacy_engines():
             "ratio": round(sync_ratio, 2),
         },
     )
-    record_numbers(
+    record_bench(
+        _EXPORT,
         "sync_448_stics",
         {
             "cells": len(stics),
@@ -184,7 +171,8 @@ def test_exec_core_vs_legacy_engines():
             "ratio": round(async_ratio, 2),
         },
     )
-    record_numbers(
+    record_bench(
+        _EXPORT,
         "async_225_cells",
         {
             "cells": len(cells),

@@ -15,31 +15,17 @@ uploaded by the CI benchmarks job next to the pytest-benchmark
 timings.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
-from conftest import emit
+from conftest import emit, record_bench
 
 from repro.experiments.orchestrator import run_suite
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.runner import to_markdown
 from repro.experiments.store import ResultStore
 
-_EXPORT = Path("BENCH_runner.json")
-
-
-def record_ratio(workload: str, payload: dict) -> None:
-    """Merge one workload's numbers into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
-    data[workload] = payload
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+_EXPORT = "BENCH_runner.json"
 
 
 def _md(runs) -> str:
@@ -70,7 +56,8 @@ def test_warm_cache_and_parallel_fast_tier(tmp_path):
     parallel_speedup = cold_s / parallel_s
     assert _md(parallel) == _md(cold)  # bit-identical merge, any --jobs
 
-    record_ratio(
+    record_bench(
+        _EXPORT,
         "fast_tier_warm_cache",
         {
             "cold_s": round(cold_s, 3),
@@ -80,7 +67,8 @@ def test_warm_cache_and_parallel_fast_tier(tmp_path):
             "recomputed": recomputed,
         },
     )
-    record_ratio(
+    record_bench(
+        _EXPORT,
         "fast_tier_parallel",
         {
             "serial_s": round(cold_s, 3),

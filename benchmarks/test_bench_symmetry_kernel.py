@@ -18,14 +18,12 @@ speedup}}`` — so the perf trajectory stays machine-readable across
 PRs; CI uploads the file next to the pytest-benchmark timings.
 """
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
-from conftest import emit
+from conftest import emit, record_bench
 
 from repro.core.stic import enumerate_stics
 from repro.core.uxs import apply_uxs, is_uxs_for_graph, uxs_for_size
@@ -37,24 +35,21 @@ from repro.symmetry.feasibility import classify_from_symmetry
 from repro.symmetry.shrink import shrink_witness_reference
 from repro.symmetry.views import view_classes_reference
 
-_EXPORT = Path("BENCH_symmetry.json")
+_EXPORT = "BENCH_symmetry.json"
 
 
 def record_speedup(workload: str, scalar_s: float, kernel_s: float) -> float:
     """Merge one old-vs-new timing into the consolidated JSON export."""
-    data = {}
-    if _EXPORT.exists():
-        try:
-            data = json.loads(_EXPORT.read_text())
-        except json.JSONDecodeError:
-            data = {}
     speedup = scalar_s / kernel_s if kernel_s > 0 else float("inf")
-    data[workload] = {
-        "scalar_s": round(scalar_s, 6),
-        "kernel_s": round(kernel_s, 6),
-        "speedup": round(speedup, 2),
-    }
-    _EXPORT.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    record_bench(
+        _EXPORT,
+        workload,
+        {
+            "scalar_s": round(scalar_s, 6),
+            "kernel_s": round(kernel_s, 6),
+            "speedup": round(speedup, 2),
+        },
+    )
     return speedup
 
 

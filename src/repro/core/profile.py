@@ -14,7 +14,7 @@ experiments run a *tuned* profile with small certified constants:
 * oracle-mode view acquisition (pure waiting, fast-forwarded).
 
 Tests cross-validate the two profiles on the smallest instances.  See
-DESIGN.md §2 for the substitution argument.
+README.md, "Substitutions", for the substitution argument.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from repro.core.asymm_rv import AsymmParams, asymm_meeting_bound
 from repro.core.bounds import symm_rv_time_bound
 from repro.core.labels import view_reconstruction_budget
 from repro.core.uxs import uxs_for_size
-from repro.core.uxs_engine import generate_offset_stream
+from repro.exec.uxs import generate_offset_stream
 from repro.util.lcg import derive_seed
 
 __all__ = ["Profile", "REFERENCE", "TUNED", "tuned_profile"]

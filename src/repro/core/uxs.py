@@ -8,7 +8,7 @@ by which the walk entered ``u_i``.  ``Y(n)`` is a UXS for the class of
 graphs of size ``n`` when every application in every such graph visits
 all nodes.
 
-Substitution (see DESIGN.md §2.1): instead of Reingold's explicit
+Substitution (see README.md, "Substitutions"): instead of Reingold's explicit
 construction we emit a deterministic pseudorandom sequence keyed only
 by ``n`` — identical for both agents, which is the sole property the
 symmetry argument of Lemma 3.2 requires — of length
@@ -26,7 +26,7 @@ from collections import OrderedDict
 from functools import lru_cache
 from collections.abc import Sequence
 
-from repro.core.uxs_engine import (
+from repro.exec.uxs import (
     generate_offset_stream,
     is_uxs_for_graph_vectorized,
 )
@@ -172,7 +172,7 @@ def is_uxs_for_graph(graph: PortLabeledGraph, seq: Sequence[int]) -> bool:
     """Certify ``seq`` on one graph: coverage from *every* start node.
 
     Delegates to the vectorized multi-start walk
-    (:func:`repro.core.uxs_engine.is_uxs_for_graph_vectorized`): one
+    (:func:`repro.exec.uxs.is_uxs_for_graph_vectorized`): one
     gather per UXS term advances all ``n`` applications at once, with
     an early exit once every walk has covered the graph.  Same answer
     as :func:`is_uxs_for_graph_scalar` on every input (differential

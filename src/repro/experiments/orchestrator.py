@@ -14,8 +14,7 @@ order — but execution now rides the three-layer spine
   ``<cache-dir>/runs/<run-id>/``; ``resume=True`` re-attaches to it,
   recomputing nothing that completed before a kill;
 * :mod:`repro.experiments.store` — completed shard results live in
-  the content-addressed :class:`ResultStore` behind a pluggable
-  backend.
+  the content-addressed :class:`ResultStore`.
 
 Determinism guarantees (pinned by tests/experiments/):
 
@@ -31,6 +30,7 @@ Determinism guarantees (pinned by tests/experiments/):
 
 from __future__ import annotations
 
+import argparse
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +57,8 @@ from repro.experiments.scenarios import (
     ScenarioSpec,
     get_scenario,
 )
-from repro.experiments.store import ResultStore, json_roundtrip, shard_key
+from repro.experiments.store import DEFAULT_CACHE_DIR, ResultStore, shard_key
+from repro.util.encoding import json_roundtrip
 
 __all__ = [
     "ShardOutcome",
@@ -69,6 +70,8 @@ __all__ = [
     "run_suite",
     "shard_status",
     "journal_status",
+    "run_flags_parser",
+    "run_flags_error",
 ]
 
 
@@ -575,3 +578,51 @@ def journal_status(
         )
         rows.append((exp_id, counts))
     return state, rows
+
+
+def run_flags_parser() -> argparse.ArgumentParser:
+    """Parent parser for the flags shared by every orchestrated run
+    (``python -m repro`` and ``repro campaign run``); check the parsed
+    values with :func:`run_flags_error`."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="worker processes for shard execution (default 1 = serial)",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="PATH", default=DEFAULT_CACHE_DIR,
+        help=f"result-store location (default {DEFAULT_CACHE_DIR})",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="disable the result store (recompute every shard)",
+    )
+    parser.add_argument(
+        "--resume", nargs="?", const="", default=None, metavar="RUN_ID",
+        help="re-attach to a journaled run (default: the run id this "
+        "same invocation derives) and recompute nothing it completed",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=DEFAULT_MAX_RETRIES, metavar="N",
+        help="re-lease a failing shard N times before quarantining it "
+        f"(default {DEFAULT_MAX_RETRIES})",
+    )
+    parser.add_argument(
+        "--shard-timeout", type=float, default=None, metavar="SECONDS",
+        help="expire a shard lease after SECONDS and re-lease it "
+        "(default: no hard deadline; heartbeat liveness still applies)",
+    )
+    return parser
+
+
+def run_flags_error(args: argparse.Namespace) -> str | None:
+    """Why the :func:`run_flags_parser` values cannot run, or None."""
+    if args.jobs < 1:
+        return "--jobs must be >= 1"
+    if args.max_retries < 0:
+        return "--max-retries must be >= 0"
+    if args.shard_timeout is not None and not args.shard_timeout > 0:
+        return "--shard-timeout must be > 0"
+    if args.resume is not None and args.no_cache:
+        return "--resume needs the journal; drop --no-cache"
+    return None

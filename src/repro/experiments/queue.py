@@ -1,6 +1,6 @@
 """Work-queue core: leased shards, bounded retry, poison quarantine.
 
-The middle layer of the execution spine (store backends below, the
+The middle layer of the execution spine (the result store below, the
 ``run_suite`` frontend above — docs/orchestration.md).  Planning turns
 every missing shard into a :class:`ShardTask`; a :class:`WorkQueue`
 then hands tasks to workers under a **lease** discipline instead of

@@ -49,13 +49,14 @@ from repro.experiments import (
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.orchestrator import (
     ExperimentRun,
+    run_flags_error,
+    run_flags_parser,
     run_suite,
     shard_status,
     validate_experiment_ids,
 )
-from repro.experiments.queue import DEFAULT_MAX_RETRIES
 from repro.experiments.scenarios import TIERS, all_scenarios, tier_for
-from repro.experiments.store import DEFAULT_CACHE_DIR, ResultStore
+from repro.experiments.store import ResultStore
 
 __all__ = ["EXPERIMENTS", "run_all", "to_markdown", "main"]
 
@@ -210,7 +211,9 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = argparse.ArgumentParser(
+        description=__doc__, parents=[run_flags_parser()]
+    )
     parser.add_argument("experiments", nargs="*", help="experiment ids (default all)")
     parser.add_argument(
         "--tier", choices=TIERS, default=None,
@@ -220,39 +223,12 @@ def _main(argv: list[str] | None = None) -> int:
         "--full", action="store_true", help="alias for --tier full"
     )
     parser.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for shard execution (default 1 = serial)",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="PATH", default=DEFAULT_CACHE_DIR,
-        help=f"result-store location (default {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the result store (recompute every shard)",
-    )
-    parser.add_argument(
         "--list", action="store_true", dest="list_scenarios",
         help="list scenarios, shard counts per tier, and shard axes",
     )
     parser.add_argument(
         "--shard-status", action="store_true",
         help="show cached/total shards per experiment, then exit",
-    )
-    parser.add_argument(
-        "--resume", nargs="?", const="", default=None, metavar="RUN_ID",
-        help="re-attach to a journaled run (default: the run id this "
-        "same invocation derives) and recompute nothing it completed",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=DEFAULT_MAX_RETRIES, metavar="N",
-        help="re-lease a failing shard N times before quarantining it "
-        f"(default {DEFAULT_MAX_RETRIES})",
-    )
-    parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="expire a shard lease after SECONDS and re-lease it "
-        "(default: no hard deadline; heartbeat liveness still applies)",
     )
     parser.add_argument(
         "--replay-shard", metavar="ARTIFACT", default=None,
@@ -267,12 +243,9 @@ def _main(argv: list[str] | None = None) -> int:
 
     if args.replay_shard is not None:
         return _replay_shard(args.replay_shard)
-    if args.jobs < 1:
-        parser.error("--jobs must be >= 1")
-    if args.max_retries < 0:
-        parser.error("--max-retries must be >= 0")
-    if args.resume is not None and args.no_cache:
-        parser.error("--resume needs the journal; drop --no-cache")
+    problem = run_flags_error(args)
+    if problem:
+        parser.error(problem)
     if args.full and args.tier is not None:
         parser.error("--full is an alias for --tier full; drop one of the two")
     tier = args.tier or ("full" if args.full else "fast")
@@ -282,12 +255,16 @@ def _main(argv: list[str] | None = None) -> int:
         _print_scenarios()
         return 0
 
+    try:
+        validate_experiment_ids(only)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     store = None if args.no_cache else ResultStore(args.cache_dir)
 
     if args.shard_status:
         if store is None:
             parser.error("--shard-status requires the cache (drop --no-cache)")
-        validate_experiment_ids(only)
         _print_shard_status(only, tier=tier, store=store)
         return 0
 

@@ -49,7 +49,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.exec.backend import ArrayBackend
 from repro.exec.deepen import resolve_adaptive
 from repro.exec.meeting import (
     PENDING as _PENDING,
@@ -427,7 +426,6 @@ def run_schedule_sweep(
     compiler: TraceCompiler | None = None,
     fuel: int = 1 << 16,
     initial_horizon: int = 1024,
-    backend: ArrayBackend | None = None,
 ) -> list[AsyncOutcome]:
     """Run one deterministic ``algorithm`` over a (pair × schedule) grid.
 
@@ -449,9 +447,6 @@ def run_schedule_sweep(
         run is declared move-starved (mirrors the scalar engine's
         per-pull fuel limit; measured in *actions*, so arbitrarily long
         ``WaitBlock`` paddings never trip it).
-    backend:
-        Array backend for compiled traces and cell resolution (default:
-        the process-wide numpy backend; see :mod:`repro.exec.backend`).
 
     Returns one :class:`AsyncOutcome` per cell, in input order,
     bit-identical to :func:`run_schedule_adversary` (at matching
@@ -482,7 +477,7 @@ def run_schedule_sweep(
             raise ValueError("max_events must be non-negative")
         budgets.append(int(m))
     if compiler is None:
-        compiler = TraceCompiler(graph, algorithm, backend=backend)
+        compiler = TraceCompiler(graph, algorithm)
 
     # Cumulative activation counts, one per distinct (schedule, budget).
     cums: dict[tuple[int, int], np.ndarray] = {}
@@ -542,7 +537,6 @@ def run_schedule_sweep(
                 budgets[i],
                 traces[u],
                 traces[v],
-                backend=backend,
             )
             if outcome is not _PENDING:
                 decided[i] = outcome

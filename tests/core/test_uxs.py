@@ -1,5 +1,5 @@
 """Tests for universal exploration sequences, including the exhaustive
-small-size certification promised in DESIGN.md §2.1."""
+small-size certification promised in README.md, "Substitutions"."""
 
 import pytest
 

@@ -13,7 +13,10 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from repro.experiments import e_async_random
+from repro.experiments.runner import main as runner_main
 
 REPO_SRC = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
@@ -61,8 +64,9 @@ def test_write_md_and_json_smoke(tmp_path):
 
 def test_unknown_experiment_fails_loudly(tmp_path):
     proc = _run_cli(["NO-SUCH-EXP"], tmp_path)
-    assert proc.returncode != 0
-    assert "unknown experiment" in (proc.stderr + proc.stdout)
+    assert proc.returncode == 2
+    assert "unknown experiment" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_unknown_experiment_rejected_before_any_run(tmp_path):
@@ -129,6 +133,36 @@ def test_bad_jobs_rejected(tmp_path):
     proc = _run_cli(["--jobs", "0"], tmp_path)
     assert proc.returncode != 0
     assert "--jobs" in proc.stderr
+
+
+def _exit_code(argv):
+    try:
+        return runner_main(argv)
+    except SystemExit as exc:  # argparse's parser.error
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "cli", [["FIG1"], ["campaign", "run", "core"]], ids=["runner", "campaign"]
+)
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--jobs", "0"], "--jobs must be >= 1"),
+        (["--max-retries", "-1", "--no-cache"], "--max-retries must be >= 0"),
+        (["--shard-timeout", "0"], "--shard-timeout must be > 0"),
+        (["--resume", "--no-cache"], "--resume needs the journal"),
+    ],
+    ids=["jobs", "max-retries", "shard-timeout", "resume-no-cache"],
+)
+def test_shared_run_flags_validated_by_both_clis(
+    cli, flags, message, tmp_path, monkeypatch, capsys
+):
+    """Both CLIs share one parent parser, so a bad run flag exits 2
+    with the same message whichever CLI it is given to."""
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code([*cli, "--tier", "smoke", *flags]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_full_conflicts_with_tier(tmp_path):

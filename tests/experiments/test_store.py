@@ -1,5 +1,6 @@
 """ResultStore validation: keys()/len must agree with get(), prune()
-must delete exactly what get() would reject.
+must delete exactly what get() would reject, and put() must write
+canonical entries atomically.
 
 Regression context: keys() used to count every ``??/*.json`` file —
 corrupt entries, foreign files, misfiled buckets — so occupancy
@@ -11,6 +12,7 @@ import json
 
 from repro.experiments.scenarios import RunConfig
 from repro.experiments.store import ResultStore, shard_key
+from repro.util.encoding import canonical_json, json_roundtrip
 
 
 def _populate(store: ResultStore, count: int) -> tuple[list[str], dict]:
@@ -87,3 +89,27 @@ class TestPrune:
 
     def test_prune_missing_root(self, tmp_path):
         assert ResultStore(tmp_path / "nope").prune() == []
+
+
+class TestPut:
+    def test_round_trip_gives_identical_canonical_bytes(self, tmp_path):
+        store = ResultStore(tmp_path)
+        [key], _ = _populate(store, 1)
+        data = {"b": [1, 2.5, None, "x"], "a": {"z": [True, {"k": 3}]}}
+        store.put(key, data, meta={"exp": "X"})
+        assert canonical_json(store.get(key)) == canonical_json(data)
+        assert store.get(key) == json_roundtrip(data)
+        # Re-putting what was read back reproduces the file byte for
+        # byte, and the atomic write leaves no temp file behind.
+        first = store.path_for(key).read_bytes()
+        store.put(key, store.get(key), meta={"exp": "X"})
+        assert store.path_for(key).read_bytes() == first
+        assert store.stray_files() == []
+
+    def test_corrupt_entry_is_overwritten_not_skipped(self, tmp_path):
+        store = ResultStore(tmp_path)
+        [key], payloads = _populate(store, 1)
+        store.path_for(key).write_text("{truncated")
+        assert store.get(key) is None
+        store.put(key, payloads[key])
+        assert store.get(key) == payloads[key]
